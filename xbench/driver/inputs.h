@@ -23,18 +23,8 @@ struct LiveSpec {
   // --- initial graph and churn stream (churn, durable) --------------------
   /// 0 selects the CDR call-graph source instead of the power-law one.
   std::size_t vertices = 0;
-  std::size_t attach = 4;       ///< edges per vertex of the power-law graph
-  double triad = 0.1;           ///< Holme-Kim triad probability
   std::size_t windows = 0;      ///< one tick of stream time per window
   std::size_t eventsPerWindow = 0;
-  /// Action mix (shares of actions, summing to 1). A join emits an
-  /// AddVertex plus `joinEdges` AddEdge events; every other action one event.
-  double addLocal = 0.35;   ///< friend-of-friend edge (triadic closure)
-  double addRandom = 0.25;  ///< uniformly random edge
-  double removeEdge = 0.32; ///< removal of a known edge
-  double join = 0.04;       ///< vertex join
-  double leave = 0.04;      ///< vertex leave
-  std::size_t joinEdges = 2;
 
   // --- CDR call-graph stream (elastic) ------------------------------------
   std::size_t subscribers = 0;
@@ -57,8 +47,8 @@ struct LiveSpec {
   /// Scheduled crash@window (durable); kNoCrash = none.
   static constexpr std::size_t kNoCrash = static_cast<std::size_t>(-1);
   std::size_t crashWindow = kNoCrash;
-  /// Rounds a run makes at least, whatever --seconds says (freshness_p90_s
-  /// needs >= 100 windows per run).
+  /// Rounds an untraced run makes at least, whatever --seconds says (a
+  /// traced run always ends with its second untraced round).
   std::size_t minRounds = 1;
 };
 

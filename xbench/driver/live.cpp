@@ -117,10 +117,16 @@ constexpr std::size_t kReaders = 2;
 // --------------------------------------------------------------- readers
 
 /// The board readers query; a restore swaps in the restored service's board
-/// under the next generation.
+/// under the next generation. While a crashed service is freed and restored,
+/// readers answer from its last snapshot (`pinned`, no board).
 struct BoardRef {
   std::uint64_t generation = 0;
   const SnapshotBoard* board = nullptr;
+  SnapshotBoard::Ref pinned;
+
+  [[nodiscard]] SnapshotBoard::Ref current() const {
+    return board != nullptr ? board->current() : pinned;
+  }
 };
 
 struct ReaderLog {
@@ -128,6 +134,7 @@ struct ReaderLog {
   LatencyHistogram latency;
   std::atomic<std::uint64_t> lastGeneration{0};
   std::atomic<std::uint64_t> lastEpoch{0};
+  std::atomic<std::uint64_t> bundles{0};  ///< query bundles completed
   std::uint64_t sink = 0;
 };
 
@@ -136,7 +143,7 @@ class Readers {
  public:
   Readers(std::size_t count, const BoardRef* first) {
     for (std::size_t r = 0; r < count; ++r) logs_.push_back(std::make_unique<ReaderLog>());
-    current_.store(first, std::memory_order_release);
+    current_.store(first);
     for (std::size_t r = 0; r < count; ++r) {
       threads_.emplace_back([this, r] { loop(*logs_[r]); });
     }
@@ -145,15 +152,23 @@ class Readers {
   Readers& operator=(const Readers&) = delete;
   ~Readers() { stop(); }
 
+  /// Points the readers at `next` and returns once none of them can still
+  /// be reading the previous board, so the caller may free it. The bundle a
+  /// reader has in flight may still use the old board; the one after it
+  /// cannot (the counter and current_ are sequentially consistent).
   void switchTo(const BoardRef* next) {
-    current_.store(next, std::memory_order_release);
+    current_.store(next);
+    for (const auto& log : logs_) {
+      const std::uint64_t seen = log->bundles.load();
+      while (log->bundles.load() < seen + 2) std::this_thread::yield();
+    }
   }
 
-  /// Waits (up to 2 s) until every reader has seen `epoch` on the current
-  /// board, then stops and joins them.
+  /// Waits (up to 2 s) until every reader has seen the current board's
+  /// latest epoch, then stops and joins them.
   void finish() {
-    const BoardRef* ref = current_.load(std::memory_order_acquire);
-    const std::uint64_t epoch = ref->board->publishedEpoch();
+    const BoardRef* ref = current_.load();
+    const std::uint64_t epoch = ref->current()->epoch();
     const std::int64_t deadline = nowNs() + 2'000'000'000;
     for (const auto& log : logs_) {
       while (nowNs() < deadline &&
@@ -180,9 +195,9 @@ class Readers {
     std::uint64_t lastGeneration = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t lastEpoch = 0;
     while (!stop_.load(std::memory_order_acquire)) {
-      const BoardRef* ref = current_.load(std::memory_order_acquire);
+      const BoardRef* ref = current_.load();
       const std::int64_t t0 = nowNs();
-      const SnapshotBoard::Ref snap = ref->board->current();
+      const SnapshotBoard::Ref snap = ref->current();
       log.sink += queryBundle(*snap, cursor);
       const std::int64_t t1 = nowNs();
       log.latency.add(static_cast<double>(t1 - t0) / kQueriesPerBundle);
@@ -196,6 +211,7 @@ class Readers {
         log.lastGeneration.store(lastGeneration, std::memory_order_release);
         log.lastEpoch.store(lastEpoch, std::memory_order_release);
       }
+      log.bundles.fetch_add(1);
     }
   }
 
@@ -229,6 +245,7 @@ struct Round {
   std::vector<std::vector<Sighting>> sightings;  ///< per reader
   LatencyHistogram latency;
   std::size_t failedWindows = 0;
+  std::string error;  ///< what an operation of the round threw ("" = none)
 };
 
 void collectReaders(Readers& readers, Round& round) {
@@ -316,7 +333,6 @@ void runAllLiveChecks(const LiveOutcome& out, const ReplayGraph& replay,
 /// A scheduled crash is recovered in-process from the checkpoint directory.
 struct ServiceRound {
   Round round;
-  std::unique_ptr<PartitionService> crashed;  ///< kept alive for the readers
   std::unique_ptr<PartitionService> service;  ///< the one that finished
 };
 
@@ -327,28 +343,37 @@ void runServiceRound(const LiveInputs& in, const xdgp::serve::ServeOptions& opti
   out.service.reset(
       new PartitionService(makeWorkload(in), "HSH", in.adaptive, options));
   if (constructedNs != nullptr) *constructedNs = nowNs();
-  BoardRef refs[2] = {{0, &out.service->board()}, {1, nullptr}};
+  // Readers go from the service's board to the crashed service's last
+  // snapshot while that service is freed and restored, then to the restored
+  // service's board: one service is alive at a time, as after a real crash.
+  BoardRef refs[3] = {{0, &out.service->board(), nullptr}, {}, {}};
   std::optional<Readers> readers;
   if (readerCount > 0) readers.emplace(readerCount, &refs[0]);
   Round& round = out.round;
   round.runStartNs = nowNs();
   try {
-    out.service->run();
-  } catch (const xdgp::serve::InjectedCrash&) {
-    round.crashNs = nowNs();
-    out.crashed = std::move(out.service);
-    out.service.reset(new PartitionService(
-        PartitionService::restore(options.checkpointDir, in.adaptive.threads)));
-    refs[1].board = &out.service->board();
-    if (readers) readers->switchTo(&refs[1]);
-    out.service->run();
+    try {
+      out.service->run();
+    } catch (const xdgp::serve::InjectedCrash&) {
+      round.crashNs = nowNs();
+      refs[1] = {0, nullptr, out.service->snapshot()};
+      if (readers) readers->switchTo(&refs[1]);
+      out.service.reset();
+      out.service.reset(new PartitionService(
+          PartitionService::restore(options.checkpointDir, in.adaptive.threads)));
+      refs[2] = {1, &out.service->board(), nullptr};
+      if (readers) readers->switchTo(&refs[2]);
+      out.service->run();
+    }
+  } catch (const std::exception& error) {
+    round.error = error.what();
   }
   round.runEndNs = nowNs();
   if (readers) {
     readers->finish();
     collectReaders(*readers, round);
   }
-  round.timeline = out.service->timeline().windows;
+  if (out.service) round.timeline = out.service->timeline().windows;
   for (const WindowReport& w : round.timeline) round.failedWindows += w.converged ? 0 : 1;
 }
 
@@ -475,128 +500,135 @@ void runTracedRound(const LiveInputs& in, const xdgp::serve::ServeOptions& optio
   };
   publish(nullptr, 0);
 
-  BoardRef ref{0, out.board.get()};
+  BoardRef ref{0, out.board.get(), nullptr};
   std::optional<Readers> readers;
   if (readerCount > 0) readers.emplace(readerCount, &ref);
   Round& round = out.round;
   round.runStartNs = nowNs();
-  const xdgp::api::StreamOptions& stream = options.stream;
-  xdgp::api::Streamer streamer(xdgp::graph::UpdateStream(events), stream);
-  std::size_t lastCheckpoint = 0;
-  while (true) {
-    std::optional<xdgp::api::WindowBatch> batch;
-    {
-      XBENCH_SPAN(t, "api.drain");
-      batch = streamer.next();
-    }
-    if (!batch) break;
-    const std::size_t index = batch->index;
-    for (const auto& op : options.resizes) {
-      if (op.window != index) continue;
-      if (op.grow > 0) {
-        XBENCH_SPAN(t, "lpa.grow", index);
-        const std::size_t before = engine.totalMigrations();
-        engine.growPartitions(op.grow);
-        counts.growSeeded += engine.totalMigrations() - before;
-      }
-      if (!op.shrink.empty()) {
-        XBENCH_SPAN(t, "lpa.shrink", index);
-        engine.shrinkPartitions(op.shrink);
-      }
-    }
-    WindowReport window;
-    xdgp::core::TouchSet touched;
-    {
-      XBENCH_SPAN(t, "api.window", index);
-      const std::int64_t windowStart = nowNs();
-      window.index = index;
-      window.start = batch->start;
-      window.end = batch->end;
-      window.eventsDrained = batch->drained;
-      window.eventsExpired = batch->expired;
-      const std::size_t migrationsBefore = engine.totalMigrations();
+  // The engine's step belongs to its own layer: lpa for LpaEngine.
+  const char* stepSpan =
+      engine.kind() == xdgp::core::EngineKind::kLpa ? "lpa.step" : "core.step";
+  try {
+    const xdgp::api::StreamOptions& stream = options.stream;
+    xdgp::api::Streamer streamer(xdgp::graph::UpdateStream(events), stream);
+    std::size_t lastCheckpoint = 0;
+    while (true) {
+      std::optional<xdgp::api::WindowBatch> batch;
       {
-        XBENCH_SPAN(t, "graph.apply", index);
-        window.eventsApplied = session.applyUpdates(batch->events);
+        XBENCH_SPAN(t, "api.drain");
+        batch = streamer.next();
       }
-      if (stream.rescaleEachWindow) {
-        XBENCH_SPAN(t, "core.rescale", index);
-        engine.rescaleCapacity();
-      }
-      if (stream.adapt) {
-        const std::size_t cap = stream.maxIterationsPerWindow > 0
-                                    ? stream.maxIterationsPerWindow
-                                    : options.maxIterations;
-        const std::size_t first = engine.iteration();
-        while (!engine.converged() && engine.iteration() - first < cap) {
-          XBENCH_SPAN(t, "core.step", index);
-          engine.step();
+      if (!batch) break;
+      const std::size_t index = batch->index;
+      for (const auto& op : options.resizes) {
+        if (op.window != index) continue;
+        if (op.grow > 0) {
+          XBENCH_SPAN(t, "lpa.grow", index);
+          const std::size_t before = engine.totalMigrations();
+          engine.growPartitions(op.grow);
+          counts.growSeeded += engine.totalMigrations() - before;
         }
-        window.iterations = engine.iteration() - first;
-        window.converged = engine.converged();
-      } else {
-        window.converged = false;
+        if (!op.shrink.empty()) {
+          XBENCH_SPAN(t, "lpa.shrink", index);
+          engine.shrinkPartitions(op.shrink);
+        }
       }
-      window.migrations = engine.totalMigrations() - migrationsBefore;
-      window.vertices = engine.graph().numVertices();
-      window.edges = engine.graph().numEdges();
-      window.cutEdges = engine.state().cutEdges();
-      window.cutRatio = engine.cutRatio();
-      window.balance =
-          xdgp::metrics::balanceReport(engine.state(), engine.activeMask());
-      touched = engine.drainTouched();
-      window.wallSeconds = seconds(windowStart, nowNs());
-    }
-    counts.eventsApplied += window.eventsApplied;
-    counts.steps += window.iterations;
-    counts.migrations += window.migrations;
-    counts.touchedAdjacency.push_back(static_cast<double>(touched.adjacency.size()));
-    counts.touchedAssignment.push_back(static_cast<double>(touched.assignment.size()));
-    if (in.spec.grow > 0 && index == in.spec.shrinkWindow) {
-      counts.drainSteps = window.iterations;
-      counts.drainMigrations = window.migrations;
-    }
-    builder.note(touched);
-    if (index == in.spec.crashWindow && !options.checkpointDir.empty()) {
-      // Where the service would crash: time what its recovery reads.
-      const std::int64_t probeStart = nowNs();
+      WindowReport window;
+      xdgp::core::TouchSet touched;
       {
-        XBENCH_SPAN(t, "serve.checkpoint_read", index);
-        (void)xdgp::serve::readCheckpoint(options.checkpointDir);
+        XBENCH_SPAN(t, "api.window", index);
+        const std::int64_t windowStart = nowNs();
+        window.index = index;
+        window.start = batch->start;
+        window.end = batch->end;
+        window.eventsDrained = batch->drained;
+        window.eventsExpired = batch->expired;
+        const std::size_t migrationsBefore = engine.totalMigrations();
+        {
+          XBENCH_SPAN(t, "graph.apply", index);
+          window.eventsApplied = session.applyUpdates(batch->events);
+        }
+        if (stream.rescaleEachWindow) {
+          XBENCH_SPAN(t, "core.rescale", index);
+          engine.rescaleCapacity();
+        }
+        if (stream.adapt) {
+          const std::size_t cap = stream.maxIterationsPerWindow > 0
+                                      ? stream.maxIterationsPerWindow
+                                      : options.maxIterations;
+          const std::size_t first = engine.iteration();
+          while (!engine.converged() && engine.iteration() - first < cap) {
+            XBENCH_SPAN(t, stepSpan, index);
+            engine.step();
+          }
+          window.iterations = engine.iteration() - first;
+          window.converged = engine.converged();
+        } else {
+          window.converged = false;
+        }
+        window.migrations = engine.totalMigrations() - migrationsBefore;
+        window.vertices = engine.graph().numVertices();
+        window.edges = engine.graph().numEdges();
+        window.cutEdges = engine.state().cutEdges();
+        window.cutRatio = engine.cutRatio();
+        window.balance =
+            xdgp::metrics::balanceReport(engine.state(), engine.activeMask());
+        touched = engine.drainTouched();
+        window.wallSeconds = seconds(windowStart, nowNs());
       }
-      {
-        XBENCH_SPAN(t, "serve.restore", index);
-        (void)PartitionService::restore(options.checkpointDir, in.adaptive.threads);
+      counts.eventsApplied += window.eventsApplied;
+      counts.steps += window.iterations;
+      counts.migrations += window.migrations;
+      counts.touchedAdjacency.push_back(static_cast<double>(touched.adjacency.size()));
+      counts.touchedAssignment.push_back(static_cast<double>(touched.assignment.size()));
+      if (in.spec.grow > 0 && index == in.spec.shrinkWindow) {
+        counts.drainSteps = window.iterations;
+        counts.drainMigrations = window.migrations;
       }
-      counts.replayWindows = index - lastCheckpoint;
-      counts.recoveryProbeSeconds = seconds(probeStart, nowNs());
+      builder.note(touched);
+      if (index == in.spec.crashWindow && !options.checkpointDir.empty()) {
+        // Where the service would crash: time what its recovery reads.
+        const std::int64_t probeStart = nowNs();
+        {
+          XBENCH_SPAN(t, "serve.checkpoint_read", index);
+          (void)xdgp::serve::readCheckpoint(options.checkpointDir);
+        }
+        {
+          XBENCH_SPAN(t, "serve.restore", index);
+          (void)PartitionService::restore(options.checkpointDir, in.adaptive.threads);
+        }
+        counts.replayWindows = index - lastCheckpoint;
+        counts.recoveryProbeSeconds = seconds(probeStart, nowNs());
+      }
+      round.failedWindows += window.converged ? 0 : 1;
+      round.timeline.push_back(window);
+      publish(&window, index + 1);
+      const std::size_t next = index + 1;
+      const bool cadence = options.checkpointEvery > 0 && next % options.checkpointEvery == 0;
+      if (!options.checkpointDir.empty() && cadence) {
+        std::optional<xdgp::serve::Checkpoint> cp;
+        {
+          XBENCH_SPAN(t, "serve.make_checkpoint", index);
+          cp.emplace(makeCheckpointOf(in, options, session, events, round.timeline));
+        }
+        {
+          XBENCH_SPAN(t, "serve.checkpoint_write", index);
+          xdgp::serve::writeCheckpoint(*cp, options.checkpointDir);
+        }
+        lastCheckpoint = next;
+      }
     }
-    round.failedWindows += window.converged ? 0 : 1;
-    round.timeline.push_back(window);
-    publish(&window, index + 1);
-    const std::size_t next = index + 1;
-    const bool cadence = options.checkpointEvery > 0 && next % options.checkpointEvery == 0;
-    if (!options.checkpointDir.empty() && cadence) {
+    if (!options.checkpointDir.empty()) {
       std::optional<xdgp::serve::Checkpoint> cp;
       {
-        XBENCH_SPAN(t, "serve.make_checkpoint", index);
+        XBENCH_SPAN(t, "serve.make_checkpoint", round.timeline.size());
         cp.emplace(makeCheckpointOf(in, options, session, events, round.timeline));
       }
-      {
-        XBENCH_SPAN(t, "serve.checkpoint_write", index);
-        xdgp::serve::writeCheckpoint(*cp, options.checkpointDir);
-      }
-      lastCheckpoint = next;
+      XBENCH_SPAN(t, "serve.checkpoint_write", round.timeline.size());
+      xdgp::serve::writeCheckpoint(*cp, options.checkpointDir);
     }
-  }
-  if (!options.checkpointDir.empty()) {
-    std::optional<xdgp::serve::Checkpoint> cp;
-    {
-      XBENCH_SPAN(t, "serve.make_checkpoint", round.timeline.size());
-      cp.emplace(makeCheckpointOf(in, options, session, events, round.timeline));
-    }
-    XBENCH_SPAN(t, "serve.checkpoint_write", round.timeline.size());
-    xdgp::serve::writeCheckpoint(*cp, options.checkpointDir);
+  } catch (const std::exception& error) {
+    round.error = error.what();
   }
   round.runEndNs = nowNs();
   if (readers) {
@@ -662,8 +694,27 @@ RunResult runWorkload(const RunOptions& options) {
   tracers.reserve(64);
   traced.reserve(64);
 
+  // An operation that throws ends the run: it counts as failed, and so does
+  // every operation of its round that did not complete and converge. The
+  // error is reported as a check failure and the result line still prints.
+  bool aborted = false;
+  const auto account = [&](const Round& round, std::size_t roundOps) {
+    result.attempted += roundOps;
+    if (round.error.empty()) {
+      result.failed += round.failedWindows;
+      return;
+    }
+    result.failed += roundOps - (round.timeline.size() - round.failedWindows);
+    f.push_back(spec.name + " round " + std::to_string(rounds.size() + traced.size()) +
+                " threw: " + round.error);
+    aborted = true;
+  };
+
   // Every untraced round ends with a restart: the durable crash recovery,
   // or a shutdown checkpoint of the round's service and a timed restore.
+  // The restored service replaces the round's, so one service is alive at a
+  // time (as when a service restarts in a fresh process), and the output
+  // checks run on the restored one.
   const auto restart = [&](const Round& round) {
     if (spec.crashWindow != LiveSpec::kNoCrash) {
       checkpointBytes = directoryBytes(ckptDir);
@@ -676,45 +727,45 @@ RunResult runWorkload(const RunOptions& options) {
       }
       return;
     }
-    fs::remove_all(ckptDir);
-    std::optional<xdgp::serve::Checkpoint> cp;
-    {
-      XBENCH_SPAN(rt, "serve.make_checkpoint");
-      cp.emplace(lastService->makeCheckpoint());
-    }
-    {
-      XBENCH_SPAN(rt, "serve.checkpoint_write");
-      xdgp::serve::writeCheckpoint(*cp, ckptDir);
-    }
-    cp.reset();
-    checkpointBytes = directoryBytes(ckptDir);
-    if (options.trace) {
-      XBENCH_SPAN(rt, "serve.checkpoint_read");
-      (void)xdgp::serve::readCheckpoint(ckptDir);
-    }
-    const std::int64_t t0 = nowNs();
-    std::unique_ptr<PartitionService> restarted;
-    {
-      XBENCH_SPAN(rt, "serve.restore");
-      restarted.reset(new PartitionService(
-          PartitionService::restore(ckptDir, in.adaptive.threads)));
-    }
-    recovery.push_back(seconds(t0, nowNs()));
     result.attempted += 1;
-    if (restarted->snapshot()->stats().cutEdges !=
-        lastService->snapshot()->stats().cutEdges) {
-      f.push_back("recovery: the restarted service publishes a different cut");
+    const std::size_t cut = lastService->snapshot()->stats().cutEdges;
+    const xdgp::metrics::Assignment assignment =
+        lastService->session().engine().state().assignment();
+    try {
+      fs::remove_all(ckptDir);
+      std::optional<xdgp::serve::Checkpoint> cp;
+      {
+        XBENCH_SPAN(rt, "serve.make_checkpoint");
+        cp.emplace(lastService->makeCheckpoint());
+      }
+      {
+        XBENCH_SPAN(rt, "serve.checkpoint_write");
+        xdgp::serve::writeCheckpoint(*cp, ckptDir);
+      }
+      cp.reset();
+      lastService.reset();
+      checkpointBytes = directoryBytes(ckptDir);
+      if (options.trace) {
+        XBENCH_SPAN(rt, "serve.checkpoint_read");
+        (void)xdgp::serve::readCheckpoint(ckptDir);
+      }
+      const std::int64_t t0 = nowNs();
+      {
+        XBENCH_SPAN(rt, "serve.restore");
+        lastService.reset(new PartitionService(
+            PartitionService::restore(ckptDir, in.adaptive.threads)));
+      }
+      recovery.push_back(seconds(t0, nowNs()));
+    } catch (const std::exception& error) {
+      result.failed += 1;
+      f.push_back(std::string("restart threw: ") + error.what());
+      aborted = true;
+      return;
     }
-  };
-  const auto serviceRound = [&] {
-    ServiceRound sr;
-    runServiceRound(in, options.trace ? baseline : serveOptions, kReaders,
-                    rounds.empty() ? &setupDoneNs : nullptr, sr);
-    result.attempted += windowOps + (sr.round.crashNs >= 0 ? 1 : 0);
-    result.failed += sr.round.failedWindows;
-    rounds.push_back(std::move(sr.round));
-    lastService = std::move(sr.service);
-    restart(rounds.back());
+    if (lastService->snapshot()->stats().cutEdges != cut ||
+        lastService->session().engine().state().assignment() != assignment) {
+      f.push_back("recovery: the restarted service does not hold the checkpointed state");
+    }
   };
   // Untraced rounds after the first run fresh inputs from seeds derived from
   // --seed, so a run's medians average over several graphs and streams (LPA
@@ -723,20 +774,35 @@ RunResult runWorkload(const RunOptions& options) {
   // traced round must reproduce its untraced neighbours' trajectory, and is
   // timed against the warm untraced round after it (the first round of a
   // process pays the cold page faults).
-  do {
+  const auto serviceRound = [&] {
+    lastService.reset();  // the previous round's, before this round's inputs
     if (!rounds.empty() && !options.trace) {
       in = makeInputs(spec, xdgp::util::Rng::splitmix64(options.seed + rounds.size()));
     }
+    ServiceRound sr;
+    runServiceRound(in, options.trace ? baseline : serveOptions, kReaders,
+                    rounds.empty() ? &setupDoneNs : nullptr, sr);
+    const bool crashes = spec.crashWindow != LiveSpec::kNoCrash && !options.trace;
+    account(sr.round, windowOps + (crashes ? 1 : 0));
+    rounds.push_back(std::move(sr.round));
+    lastService = std::move(sr.service);
+    if (!aborted) restart(rounds.back());
+  };
+  do {
     serviceRound();
-    if (options.trace) {
+    if (options.trace && !aborted) {
       tracers.emplace_back();
       traced.emplace_back();
       runTracedRound(in, serveOptions, kReaders, tracers.back(), traced.back());
-      result.attempted += windowOps;
-      result.failed += traced.back().round.failedWindows;
+      account(traced.back().round, windowOps);
     }
-  } while (elapsed() < options.seconds || rounds.size() < spec.minRounds);
-  if (options.trace) serviceRound();
+  } while (!aborted && (elapsed() < options.seconds ||
+                        (!options.trace && rounds.size() < spec.minRounds)));
+  if (options.trace && !aborted) serviceRound();
+  if (aborted) {
+    fs::remove_all(ckptDir);
+    return result;
+  }
   for (const Round& round : rounds) {
     const auto seen = firstSeen(round, spec.windows);
     std::cerr << spec.name << " round: run " << seconds(round.runStartNs, round.runEndNs)
@@ -761,13 +827,17 @@ RunResult runWorkload(const RunOptions& options) {
     xdgp::serve::ServeOptions plain = in.serve;
     plain.faults = xdgp::serve::FaultPlan();
     runServiceRound(in, plain, 0, nullptr, uninterrupted);
-    checkRecovery(finalEngine.state().assignment(),
-                  uninterrupted.service->session().engine().state().assignment(), f);
-    std::vector<WindowFacts> plainFacts;
-    for (const WindowReport& w : uninterrupted.round.timeline) {
-      plainFacts.push_back(factsOf(w));
+    if (!uninterrupted.round.error.empty()) {
+      f.push_back("recovery: the uninterrupted run threw: " + uninterrupted.round.error);
+    } else {
+      checkRecovery(finalEngine.state().assignment(),
+                    uninterrupted.service->session().engine().state().assignment(), f);
+      std::vector<WindowFacts> plainFacts;
+      for (const WindowReport& w : uninterrupted.round.timeline) {
+        plainFacts.push_back(factsOf(w));
+      }
+      checkTrajectory(plainFacts, reference, f);
     }
-    checkTrajectory(plainFacts, reference, f);
   }
   for (std::size_t r = 0; r < traced.size(); ++r) {
     std::vector<WindowFacts> facts;
@@ -829,10 +899,15 @@ RunResult runWorkload(const RunOptions& options) {
   } else {
     // --- per-layer metrics from the traced rounds -----------------------
     std::vector<double> initial, apply, steps, rescale, window, build, write,
-        makeCp, read, restore, overhead, stepsPerWindow, spans;
+        makeCp, read, restore, grow, shrink, overhead, stepsPerWindow, spans;
     std::vector<double> applied, stepCount, migrations, compactions, snapshotBytes,
         touchedAdj, touchedAsg;
     std::map<std::string, std::vector<double>> self;
+    // The engine's steps, step count and migrations belong to its layer
+    // (core for the greedy engine, lpa for LpaEngine); the other layer's
+    // figures read 0.
+    const std::string engineLayer =
+        spec.engine == xdgp::core::EngineKind::kLpa ? "lpa" : "core";
     for (std::size_t r = 0; r < traced.size(); ++r) {
       const Tracer& tr = tracers[r];
       const LayerCounts& c = traced[r].counts;
@@ -841,7 +916,9 @@ RunResult runWorkload(const RunOptions& options) {
       };
       append(initial, tr.durations("partition.initial"));
       append(apply, tr.durations("graph.apply"));
-      append(steps, tr.durations("core.step"));
+      append(steps, tr.durations(engineLayer + ".step"));
+      append(grow, tr.durations("lpa.grow"));
+      append(shrink, tr.durations("lpa.shrink"));
       append(rescale, tr.durations("core.rescale"));
       append(window, tr.durations("api.window"));
       append(build, tr.durations("serve.build"));
@@ -882,25 +959,26 @@ RunResult runWorkload(const RunOptions& options) {
       append(restore, restartTracer.durations("serve.restore"));
     }
 
-    // The pregel layer on the final graph of the last traced round, from a
-    // hash partitioning over the active partitions, so the background
-    // partitioner migrates vertices while messages are in flight.
+    // The pregel layer on the same inputs: the initial graph from a hash
+    // partitioning over the final active partitions, the stream ingested in
+    // the service's windows, then supersteps while the background
+    // partitioner migrates vertices with messages in flight.
     Tracer probeTracer;
-    const xdgp::core::Engine& tracedEngine = traced.back().session->engine();
+    const std::size_t probeK = traced.back().session->engine().activeK();
     const PregelProbe probe = runPregelProbe(
-        tracedEngine.graph(),
-        xdgp::api::initialAssignment(tracedEngine.graph(), "HSH",
-                                     tracedEngine.activeK(),
+        in.initial,
+        xdgp::api::initialAssignment(in.initial, "HSH", probeK,
                                      in.adaptive.capacityFactor, options.seed),
-        tracedEngine.activeK(), options.seed, kProbeSupersteps, 2, &probeTracer);
+        in.events, in.serve.stream, probeK, options.seed, kProbeSupersteps, 2,
+        &probeTracer);
     checkPregel(probe.outcome, tunkRankFixedPoint(replay, 0.05, 64), f);
     const double queryNs = idleQueryNs(*traced.back().board);
 
     const LayerCounts& last = traced.back().counts;
-    const auto count = [&](const char* name, double value) {
+    const auto count = [&](const std::string& name, double value) {
       m[name] = {value, "count"};
     };
-    const auto secs = [&](const char* name, double value) { m[name] = {value, "s"}; };
+    const auto secs = [&](const std::string& name, double value) { m[name] = {value, "s"}; };
     secs("gen.graph_s", in.genGraphSeconds);
     secs("gen.stream_s", in.genStreamSeconds);
     secs("partition.initial_s", smoothQuantile(initial, 0.5));
@@ -908,13 +986,18 @@ RunResult runWorkload(const RunOptions& options) {
     count("graph.events_applied", median(applied));
     m["graph.adjacency_bytes"] = {static_cast<double>(last.memory.adjacencyArenaBytes), "bytes"};
     m["graph.adjacency_slack_bytes"] = {static_cast<double>(last.memory.adjacencySlackBytes), "bytes"};
-    secs("core.step_s", smoothQuantile(steps, 0.5));
-    secs("core.step_p90_s", smoothQuantile(steps, 0.9));
-    count("core.steps", median(stepCount));
-    count("core.steps_per_window", median(stepsPerWindow));
+    for (const std::string layer : {"core", "lpa"}) {
+      const bool mine = layer == engineLayer;
+      secs(layer + ".step_s", mine ? smoothQuantile(steps, 0.5) : 0.0);
+      secs(layer + ".step_p90_s", mine ? smoothQuantile(steps, 0.9) : 0.0);
+      count(layer + ".steps", mine ? median(stepCount) : 0.0);
+      count(layer + ".steps_per_window", mine ? median(stepsPerWindow) : 0.0);
+      count(layer + ".migrations", mine ? median(migrations) : 0.0);
+    }
     secs("core.rescale_s", smoothQuantile(rescale, 0.5));
-    count("core.migrations", median(migrations));
     m["core.engine_bytes"] = {static_cast<double>(last.memory.engineBytes), "bytes"};
+    secs("lpa.grow_s", median(grow));
+    secs("lpa.shrink_s", median(shrink));
     count("lpa.grow_seeded", static_cast<double>(last.growSeeded));
     count("lpa.drain_steps", static_cast<double>(last.drainSteps));
     count("lpa.drain_migrations", static_cast<double>(last.drainMigrations));
@@ -936,6 +1019,7 @@ RunResult runWorkload(const RunOptions& options) {
     const auto superstep = probeTracer.durations("pregel.superstep");
     secs("pregel.superstep_s", smoothQuantile(superstep, 0.5));
     secs("pregel.superstep_p90_s", smoothQuantile(superstep, 0.9));
+    secs("pregel.apply_s", smoothQuantile(probeTracer.durations("pregel.apply"), 0.5));
     std::size_t local = 0, remote = 0;
     for (std::size_t s = 0; s < probe.outcome.localMessages.size(); ++s) {
       local += probe.outcome.localMessages[s];
@@ -944,8 +1028,8 @@ RunResult runWorkload(const RunOptions& options) {
     count("pregel.local_messages", static_cast<double>(local));
     count("pregel.remote_messages", static_cast<double>(remote));
     count("pregel.migrations_executed", static_cast<double>(probe.migrationsExecuted));
-    for (const char* layer : {"partition", "graph", "core", "api", "serve"}) {
-      secs((std::string(layer) + ".self_s").c_str(), median(self[layer]));
+    for (const char* layer : {"partition", "graph", "core", "lpa", "api", "serve"}) {
+      secs(std::string(layer) + ".self_s", median(self[layer]));
     }
     secs("gen.self_s", in.genGraphSeconds + in.genStreamSeconds);
     secs("pregel.self_s", probeTracer.selfSecondsByLayer()["pregel"]);

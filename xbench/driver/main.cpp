@@ -1,14 +1,14 @@
 // xbench: the xdgp benchmark driver.
 //
 //   xbench --workload <churn|durable|elastic> --seed <n> --seconds <s>
-//          --trace <0|1> [--work-dir <dir>]
+//          --trace <0|1>
 //
 // Generates the workload's inputs from the seed, runs whole rounds of the
 // partition service until --seconds have passed, checks the outputs, and
 // prints one JSON object as the last line of standard output:
 //   {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 // --trace 0 reports the end-to-end metrics, --trace 1 the per-layer ones
-// (span files go to <work-dir>/trace/).
+// (span files go to .bench_build/work/trace/ under the working directory).
 
 #include <cstdlib>
 #include <exception>
@@ -38,8 +38,6 @@ int main(int argc, char** argv) {
         options.seconds = std::stod(value);
       } else if (flag == "--trace") {
         options.trace = value == "1";
-      } else if (flag == "--work-dir") {
-        options.workDir = value;
       } else {
         throw std::invalid_argument("unknown flag " + flag);
       }

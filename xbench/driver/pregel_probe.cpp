@@ -7,8 +7,10 @@
 
 namespace xbench {
 
-PregelProbe runPregelProbe(const xdgp::graph::DynamicGraph& g,
+PregelProbe runPregelProbe(const xdgp::graph::DynamicGraph& initial,
                            const xdgp::metrics::Assignment& assignment,
+                           const std::vector<xdgp::graph::UpdateEvent>& events,
+                           const xdgp::api::StreamOptions& stream,
                            std::size_t k, std::uint64_t seed,
                            std::size_t supersteps, std::size_t threads,
                            Tracer* tracer) {
@@ -21,7 +23,12 @@ PregelProbe runPregelProbe(const xdgp::graph::DynamicGraph& g,
   std::optional<Engine> engine;
   {
     XBENCH_SPAN(tracer, "pregel.load");
-    engine.emplace(g, assignment, options);
+    engine.emplace(initial, assignment, options);
+  }
+  xdgp::api::Streamer streamer(xdgp::graph::UpdateStream(events), stream);
+  while (std::optional<xdgp::api::WindowBatch> batch = streamer.next()) {
+    XBENCH_SPAN(tracer, "pregel.apply", batch->index);
+    (void)engine->ingest(batch->events);
   }
   PregelProbe probe;
   for (std::size_t s = 0; s < supersteps; ++s) {

@@ -1,16 +1,19 @@
 #pragma once
 
-// The pregel layer on a live workload's final state: TunkRank runs on
-// pregel::Engine (sharded runtime, mailboxes, deferred migration, adaptive
-// background partitioner) over the final graph and assignment, for a fixed
-// number of supersteps. Traced runs only: it feeds the pregel.* per-layer
-// metrics and the pregel output checks.
+// The pregel layer on a live workload's inputs: TunkRank on pregel::Engine
+// (sharded runtime, mailboxes, deferred migration, adaptive background
+// partitioner). The probe loads the initial graph, ingests the event stream
+// window by window, then runs a fixed number of supersteps on the final
+// graph. Traced runs only: it feeds the pregel.* per-layer metrics and the
+// pregel output checks.
 
 #include <cstdint>
 #include <vector>
 
 #include "checks.h"
+#include "api/stream.h"
 #include "graph/dynamic_graph.h"
+#include "graph/update_stream.h"
 #include "metrics/cuts.h"
 #include "trace.h"
 
@@ -25,10 +28,14 @@ struct PregelProbe {
   std::size_t migrationsExecuted = 0;
 };
 
-/// Runs `supersteps` TunkRank supersteps with `threads` compute threads;
-/// spans "pregel.load" and "pregel.superstep" go to `tracer`.
-[[nodiscard]] PregelProbe runPregelProbe(const xdgp::graph::DynamicGraph& g,
+/// Loads `initial` with `assignment` on k workers, ingests `events` in the
+/// windows `stream` cuts, then runs `supersteps` TunkRank supersteps with
+/// `threads` compute threads. Spans "pregel.load", "pregel.apply" (one per
+/// window) and "pregel.superstep" go to `tracer`.
+[[nodiscard]] PregelProbe runPregelProbe(const xdgp::graph::DynamicGraph& initial,
                                          const xdgp::metrics::Assignment& assignment,
+                                         const std::vector<xdgp::graph::UpdateEvent>& events,
+                                         const xdgp::api::StreamOptions& stream,
                                          std::size_t k, std::uint64_t seed,
                                          std::size_t supersteps,
                                          std::size_t threads, Tracer* tracer);

@@ -19,17 +19,6 @@ ReplayGraph::ReplayGraph(const xdgp::graph::DynamicGraph& initial)
   });
 }
 
-ReplayGraph::ReplayGraph(std::vector<std::uint8_t> alive,
-                         std::vector<std::vector<VertexId>> adjacency)
-    : alive_(std::move(alive)), adjacency_(std::move(adjacency)) {
-  adjacency_.resize(alive_.size());
-  for (std::size_t v = 0; v < alive_.size(); ++v) {
-    vertices_ += alive_[v] != 0 ? 1 : 0;
-    edges_ += adjacency_[v].size();
-  }
-  edges_ /= 2;
-}
-
 void ReplayGraph::ensure(VertexId v) {
   if (v >= alive_.size()) {
     alive_.resize(v + 1, 0);

@@ -22,10 +22,6 @@ class ReplayGraph {
   /// Starts from a copy of `initial`'s vertices and edges.
   explicit ReplayGraph(const xdgp::graph::DynamicGraph& initial);
 
-  /// Plain-data constructor (self-tests).
-  ReplayGraph(std::vector<std::uint8_t> alive,
-              std::vector<std::vector<VertexId>> adjacency);
-
   /// Applies events in order:
   ///   AddVertex    the id becomes alive;
   ///   RemoveVertex the id and its incident edges disappear;

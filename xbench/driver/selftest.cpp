@@ -4,7 +4,8 @@
 //   - every output check passes on a real run and fails when one value of
 //     the program's output is corrupted;
 //   - shrunken workloads run end to end (untraced and traced) with every
-//     check passing.
+//     check passing;
+//   - a window that throws counts as failed and the run still returns.
 //
 //   xbench_selftest        (exit code 0 = all passed)
 
@@ -189,9 +190,10 @@ void testPregelCheck() {
   const LiveSpec spec = tiny("churn");
   const LiveInputs in = makeInputs(spec, 9);
   ReplayGraph replay(in.initial);
+  replay.apply(in.events);
   const PregelProbe probe =
       runPregelProbe(in.initial, xdgp::api::initialAssignment(in.initial, "HSH", 4, 1.1, 9),
-                     4, 9, kProbeSupersteps, 2, nullptr);
+                     in.events, in.serve.stream, 4, 9, kProbeSupersteps, 2, nullptr);
   const std::vector<double> fixed = tunkRankFixedPoint(replay, 0.05, 64);
   const auto run = [&](PregelOutcome o, const std::function<void(PregelOutcome&)>& bend,
                        const std::string& name) {
@@ -239,6 +241,23 @@ void testEndToEnd() {
   }
 }
 
+void testThrowingWindow() {
+  // Retiring a partition that does not exist throws at the shrink window:
+  // that window and the ones after it fail, the run still returns a result.
+  RunOptions options;
+  options.workload = "elastic";
+  options.seed = 11;
+  options.seconds = 0.0;
+  options.workDir = ".bench_build/selftest";
+  options.spec = tiny("elastic");
+  options.spec->shrinkIds = {99};
+  const RunResult result = runWorkload(options);
+  expect(!result.failures.empty(), "throwing window: reported as a check failure");
+  expect(result.attempted == options.spec->windows &&
+             result.failed == options.spec->windows - options.spec->shrinkWindow,
+         "throwing window: it and the windows after it count as failed");
+}
+
 }  // namespace
 
 int main() {
@@ -247,6 +266,7 @@ int main() {
   testScheduleCheck();
   testPregelCheck();
   testEndToEnd();
+  testThrowingWindow();
   std::cout << (failures == 0 ? "all self-tests passed" : "self-tests FAILED") << "\n";
   return failures == 0 ? 0 : 1;
 }

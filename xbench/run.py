@@ -60,8 +60,7 @@ def main():
 
     run = subprocess.run(
         [binary, "--workload", args.workload, "--seed", str(args.seed),
-         "--seconds", str(args.seconds), "--trace", str(args.trace),
-         "--work-dir", os.path.join(BUILD, "work")],
+         "--seconds", str(args.seconds), "--trace", str(args.trace)],
         stdout=subprocess.PIPE, text=True, check=False)
     lines = run.stdout.strip().splitlines()
     if run.returncode != 0 or not lines:
