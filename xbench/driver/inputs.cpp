@@ -36,26 +36,24 @@ LiveSpec specFor(const std::string& workload) {
   if (workload == "churn") {
     // The live path at scale: 1M-vertex power-law graph, 100 windows of 10k
     // events (1M events), small enough that most publishes take the
-    // overlay path; no checkpoints until the shutdown checkpoint. A round
-    // with its restart takes about as long as a 20 s run, so the round count
-    // is fixed at two rather than left to the clock.
+    // overlay path; no checkpoints until the shutdown checkpoint.
     spec.vertices = 1'000'000;
     spec.windows = 100;
     spec.eventsPerWindow = 10'000;
-    spec.minRounds = 2;
   } else if (workload == "durable") {
     // Checkpoint-bound live path: 100k vertices, windows touching ~5% of
     // |V| (snapshots compact every window or two), a checkpoint every 5
     // windows, and a crash late in the stream so the restored service
     // replays the windows since the last checkpoint. At every 5, about a
-    // fifth of the 99 freshness intervals hold a checkpoint, so p90 sits in
+    // fifth of the freshness intervals hold a checkpoint, so p90 sits in
     // the middle of the checkpoint-bound intervals whether or not the
     // restored service keeps the cadence (at every 10 it sat on the edge).
+    // 50 windows a round keep a two-round run near 30 s.
     spec.vertices = 100'000;
-    spec.windows = 100;
+    spec.windows = 50;
     spec.eventsPerWindow = 3'000;
     spec.checkpointEvery = 5;
-    spec.crashWindow = 97;
+    spec.crashWindow = 47;
   } else if (workload == "elastic") {
     // CDR call graph on the LPA engine: grow 8 -> 12 at a third of the
     // stream, retire two partitions at two thirds. At the engine's default
@@ -74,7 +72,6 @@ LiveSpec specFor(const std::string& workload) {
     spec.shrinkWindow = 33;
     spec.shrinkIds = {10, 11};
     spec.lpaScoreEpsilon = 0.05;
-    spec.minRounds = 2;
   } else {
     throw std::invalid_argument("unknown workload '" + workload +
                                 "' (known: churn, durable, elastic)");

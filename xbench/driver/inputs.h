@@ -47,9 +47,6 @@ struct LiveSpec {
   /// Scheduled crash@window (durable); kNoCrash = none.
   static constexpr std::size_t kNoCrash = static_cast<std::size_t>(-1);
   std::size_t crashWindow = kNoCrash;
-  /// Rounds an untraced run makes at least, whatever --seconds says (a
-  /// traced run always ends with its second untraced round).
-  std::size_t minRounds = 1;
 };
 
 /// The spec behind a workload name; throws std::invalid_argument on an

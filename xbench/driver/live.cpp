@@ -114,6 +114,12 @@ constexpr double kQueriesPerBundle = 4.0;
 /// Reader threads querying the board during ingest.
 constexpr std::size_t kReaders = 2;
 
+/// Rounds an untraced run makes at least, whatever --seconds says. A churn
+/// or durable round can take as long as a whole run on a slow host, and a
+/// run whose round count the clock picks would mix one-round and two-round
+/// medians. A traced run always ends with its second untraced round.
+constexpr std::size_t kMinRounds = 2;
+
 // --------------------------------------------------------------- readers
 
 /// The board readers query; a restore swaps in the restored service's board
@@ -797,7 +803,7 @@ RunResult runWorkload(const RunOptions& options) {
       account(traced.back().round, windowOps);
     }
   } while (!aborted && (elapsed() < options.seconds ||
-                        (!options.trace && rounds.size() < spec.minRounds)));
+                        (!options.trace && rounds.size() < kMinRounds)));
   if (options.trace && !aborted) serviceRound();
   if (aborted) {
     fs::remove_all(ckptDir);
