@@ -44,23 +44,24 @@ LiveSpec specFor(const std::string& workload) {
     // Checkpoint-bound live path: 100k vertices, windows touching ~5% of
     // |V| (snapshots compact every window or two), a checkpoint every 5
     // windows, and a crash late in the stream so the restored service
-    // replays the windows since the last checkpoint. At every 5, about a
-    // fifth of the freshness intervals hold a checkpoint, so p90 sits in
-    // the middle of the checkpoint-bound intervals whether or not the
-    // restored service keeps the cadence (at every 10 it sat on the edge).
-    // 50 windows a round keep a two-round run near 30 s.
+    // replays the windows since the last checkpoint (25..27). A round's 29
+    // freshness intervals hold 5 cadence checkpoints, the crash and the 2
+    // windows after it (the restored service checkpoints every window), so
+    // p90 sits in the middle of the checkpoint-bound intervals; with the
+    // cadence kept after a restore, 6 of 29, and it still does. Short rounds
+    // give a run many crashes to take recovery_s over.
     spec.vertices = 100'000;
-    spec.windows = 50;
+    spec.windows = 30;
     spec.eventsPerWindow = 3'000;
     spec.checkpointEvery = 5;
-    spec.crashWindow = 47;
+    spec.crashWindow = 27;
   } else if (workload == "elastic") {
     // CDR call graph on the LPA engine: grow 8 -> 12 at a third of the
     // stream, retire two partitions at two thirds. At the engine's default
     // score epsilon (0.02) some seeds oscillate for whole windows (total
     // migrations 56k-156k over eight seeds); 0.05 converges every seed in
     // under 90 iterations per window with migrations within 6% of each other.
-    // Rounds are short (50 windows), so a run takes the median of several.
+    // Rounds are short (50 windows), so a run holds many.
     spec.subscribers = 8'000;
     spec.weeks = 4;
     spec.windowSpan = 0.08;
